@@ -638,16 +638,16 @@ func (s *Server) stats() client.StatsReply {
 		perSec = float64(cells) / uptime
 	}
 	reply := client.StatsReply{
-		UptimeSec:       uptime,
-		QueueDepth:      s.sched.queueDepth(),
-		ActiveSweeps:    s.sched.activeCount(),
-		SweepsTotal:     total,
-		SweepsDone:      done,
-		SweepsFailed:    failed,
-		SweepsCanceled:  canceled,
-		SweepsEvicted:   evicted,
-		CellsStreamed:   cells,
-		CellsPerSec:     perSec,
+		UptimeSec:      uptime,
+		QueueDepth:     s.sched.queueDepth(),
+		ActiveSweeps:   s.sched.activeCount(),
+		SweepsTotal:    total,
+		SweepsDone:     done,
+		SweepsFailed:   failed,
+		SweepsCanceled: canceled,
+		SweepsEvicted:  evicted,
+		CellsStreamed:  cells,
+		CellsPerSec:    perSec,
 
 		SubmitsTotal:      s.submitsTotal.Load(),
 		SubmitErrors:      s.submitErrors.Load(),

@@ -238,14 +238,14 @@ func (s *store) loadArchived(id string) *job {
 		specVersion: st.SpecVersion,
 		replicates:  st.Replicates,
 		state:       st.State,
-		errMsg:     st.Error,
-		cells:      st.Cells,
-		cellsDone:  st.CellsDone,
-		created:    st.Created,
-		traceID:    st.TraceID,
-		archived:   true,
-		hasResult:  len(result) > 0,
-		resultJSON: result,
+		errMsg:      st.Error,
+		cells:       st.Cells,
+		cellsDone:   st.CellsDone,
+		created:     st.Created,
+		traceID:     st.TraceID,
+		archived:    true,
+		hasResult:   len(result) > 0,
+		resultJSON:  result,
 	}
 	if st.Started != nil {
 		j.started = *st.Started
@@ -295,12 +295,12 @@ func (s *store) add(spec *episim.SweepSpec, traceID string, trace *obs.Timeline,
 		specVersion: spec.Version(),
 		replicates:  spec.Replicates,
 		hub:         newHub(),
-		state:      client.StateQueued,
-		cells:      len(spec.Cells()),
-		created:    s.now(),
-		traceID:    traceID,
-		trace:      trace,
-		clientID:   clientID,
+		state:       client.StateQueued,
+		cells:       len(spec.Cells()),
+		created:     s.now(),
+		traceID:     traceID,
+		trace:       trace,
+		clientID:    clientID,
 	}
 	s.jobs[j.id] = j
 	s.order = append(s.order, j.id)
