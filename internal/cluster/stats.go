@@ -279,10 +279,18 @@ func promHeader(w io.Writer, name, kind, help string) {
 func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	st := g.collectStats(r.Context())
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
+	writeGatewayMetrics(w, st, g.sloStatuses(), g.proxyHist.Snapshots())
+	obs.WriteRuntimeMetrics(w)
+}
+
+// writeGatewayMetrics renders everything on the gateway's /metrics but
+// the Go runtime block: a pure function of its inputs, so the scrape
+// can be pinned by a golden test.
+func writeGatewayMetrics(w io.Writer, st StatsReply, slo []obs.SLOStatus, proxy []obs.HistogramSnapshot) {
 	server.WriteMetrics(w, st.StatsReply)
 	// Fleet-level SLO burn, from the gateway's own ring over the merged
 	// stats — the same episim_slo_* vocabulary each daemon exposes.
-	obs.WriteSLOProm(w, g.sloStatuses())
+	obs.WriteSLOProm(w, slo)
 	for _, m := range []struct {
 		name, kind, help string
 		val              float64
@@ -317,6 +325,5 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	for _, bs := range st.Backends {
 		fmt.Fprintf(w, "episim_gw_backend_queue_depth{backend=%q} %d\n", bs.Name, bs.QueueDepth)
 	}
-	obs.WriteHistogramsProm(w, g.proxyHist.Snapshots())
-	obs.WriteRuntimeMetrics(w)
+	obs.WriteHistogramsProm(w, proxy)
 }

@@ -81,3 +81,44 @@ func TestRuntimeMetricsFallbackName(t *testing.T) {
 		}
 	}
 }
+
+// TestRuntimeMetricsShape pins the runtime block's HELP/TYPE lines and
+// series names (the values are live, so only the shape is golden).
+func TestRuntimeMetricsShape(t *testing.T) {
+	orig := readResidentBytes
+	readResidentBytes = func() (int64, bool) { return 4096, true }
+	defer func() { readResidentBytes = orig }()
+
+	var sb strings.Builder
+	WriteRuntimeMetrics(&sb)
+	var got []string
+	for _, line := range strings.Split(strings.TrimSpace(sb.String()), "\n") {
+		if !strings.HasPrefix(line, "#") {
+			line = line[:strings.IndexByte(line, ' ')]
+		}
+		got = append(got, line)
+	}
+	want := []string{
+		"# HELP go_goroutines Number of live goroutines.",
+		"# TYPE go_goroutines gauge",
+		"go_goroutines",
+		"# HELP go_gc_cycles_total Completed GC cycles.",
+		"# TYPE go_gc_cycles_total counter",
+		"go_gc_cycles_total",
+		"# HELP go_gc_pause_seconds_total Cumulative stop-the-world GC pause.",
+		"# TYPE go_gc_pause_seconds_total counter",
+		"go_gc_pause_seconds_total",
+		"# HELP go_memstats_heap_alloc_bytes Bytes of allocated heap objects.",
+		"# TYPE go_memstats_heap_alloc_bytes gauge",
+		"go_memstats_heap_alloc_bytes",
+		"# HELP go_memstats_sys_bytes Bytes obtained from the OS.",
+		"# TYPE go_memstats_sys_bytes gauge",
+		"go_memstats_sys_bytes",
+		"# HELP process_resident_memory_bytes Resident set size.",
+		"# TYPE process_resident_memory_bytes gauge",
+		"process_resident_memory_bytes",
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("runtime block shape drifted:\ngot:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+}
