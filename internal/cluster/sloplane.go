@@ -54,14 +54,7 @@ func (g *Gateway) sloStatuses() []obs.SLOStatus {
 
 // handleSLO serves the fleet-level error-budget evaluation.
 func (g *Gateway) handleSLO(w http.ResponseWriter, r *http.Request) {
-	sts := g.sloStatuses()
-	stale := false
-	for _, st := range sts {
-		if st.Stale {
-			stale = true
-		}
-	}
-	writeJSON(w, http.StatusOK, client.SLOReply{Instance: "fleet", Stale: stale, SLOs: sts})
+	writeJSON(w, http.StatusOK, server.BuildSLOReply("fleet", g.sloStatuses()))
 }
 
 // handleUsage fans /v1/usage out to every healthy backend and merges the

@@ -3,14 +3,14 @@ package cluster
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
+	"reflect"
 	"sync"
 	"time"
 
-	episim "repro"
 	"repro/client"
 	"repro/internal/obs"
 	"repro/internal/server"
@@ -120,13 +120,9 @@ func (g *Gateway) collectStats(ctx context.Context) StatsReply {
 			LastError:  b.lastError(),
 		}
 		if !out.Backends[i].Healthy {
-			if last := b.lastStats.Load(); last != nil {
-				out.Backends[i].Stats = last
-				out.Backends[i].StatsStale = true
-				out.Backends[i].StatsUpdated = b.statsTakenAt()
+			out.Backends[i].StatsError = "unreachable (ejected); no stats seen yet"
+			if out.Backends[i].useLastKnown(b) {
 				out.Backends[i].StatsError = "unreachable (ejected); last-known stats shown"
-			} else {
-				out.Backends[i].StatsError = "unreachable (ejected); no stats seen yet"
 			}
 			continue
 		}
@@ -139,11 +135,7 @@ func (g *Gateway) collectStats(ctx context.Context) StatsReply {
 				// Healthy per the prober but the fetch failed: degrade to
 				// the last snapshot rather than dropping the backend from
 				// the aggregate.
-				if last := b.lastStats.Load(); last != nil {
-					out.Backends[i].Stats = last
-					out.Backends[i].StatsStale = true
-					out.Backends[i].StatsUpdated = b.statsTakenAt()
-				}
+				out.Backends[i].useLastKnown(b)
 				return
 			}
 			b.lastStats.Store(st)
@@ -152,12 +144,29 @@ func (g *Gateway) collectStats(ctx context.Context) StatsReply {
 		}(i, b)
 	}
 	wg.Wait()
-	for _, bs := range out.Backends {
-		if bs.Stats != nil {
-			mergeStats(&out.StatsReply, *bs.Stats)
+	for i, bs := range out.Backends {
+		if bs.Stats == nil {
+			continue
+		}
+		if err := mergeStats(&out.StatsReply, *bs.Stats); err != nil {
+			if bs.StatsError != "" {
+				err = fmt.Errorf("%s; %w", bs.StatsError, err)
+			}
+			out.Backends[i].StatsError = err.Error()
 		}
 	}
 	return out
+}
+
+// useLastKnown degrades bs to the backend's last successful snapshot,
+// marked stale; it reports false when there has been none.
+func (bs *BackendStatus) useLastKnown(b *backend) bool {
+	last := b.lastStats.Load()
+	if last == nil {
+		return false
+	}
+	bs.Stats, bs.StatsStale, bs.StatsUpdated = last, true, b.statsTakenAt()
+	return true
 }
 
 // statsTakenAt returns when the last successful stats snapshot was taken
@@ -192,84 +201,70 @@ func (g *Gateway) fetchStats(ctx context.Context, b *backend) (*client.StatsRepl
 	return &st, nil
 }
 
-// mergeStats folds one backend's snapshot into the fleet aggregate.
-// Counters and gauges sum; uptime takes the longest-lived backend (the
-// fleet has been up at least that long).
-func mergeStats(into *client.StatsReply, st client.StatsReply) {
-	if st.UptimeSec > into.UptimeSec {
-		into.UptimeSec = st.UptimeSec
-	}
-	into.QueueDepth += st.QueueDepth
-	into.ActiveSweeps += st.ActiveSweeps
-	into.SweepsTotal += st.SweepsTotal
-	into.SweepsDone += st.SweepsDone
-	into.SweepsFailed += st.SweepsFailed
-	into.SweepsCanceled += st.SweepsCanceled
-	into.SweepsEvicted += st.SweepsEvicted
-	into.CellsStreamed += st.CellsStreamed
-	into.CellsPerSec += st.CellsPerSec
-	into.SubmitsTotal += st.SubmitsTotal
-	into.SubmitErrors += st.SubmitErrors
-	into.EventsSent += st.EventsSent
-	into.EventsSendErrors += st.EventsSendErrors
-	into.TraceDroppedSpans += st.TraceDroppedSpans
-	into.ProfileCaptures += st.ProfileCaptures
-	for k, n := range st.KernelDays {
-		if into.KernelDays == nil {
-			into.KernelDays = make(map[string]int64)
+// mergeStats folds one backend's snapshot into the fleet aggregate,
+// taking the rule from StatsReply's own fields: every numeric field sums
+// (nested cache/store structs, optional store pointers and the
+// kernel-days map included), uptime takes the longest-lived backend (the
+// fleet has been up at least that long), and histograms merge
+// bucket-wise. A histogram with a malformed bucket layout is dropped and
+// reported in the returned error: rendering or evaluating it would index
+// past its counts.
+func mergeStats(into *client.StatsReply, st client.StatsReply) error {
+	uptime := max(into.UptimeSec, st.UptimeSec)
+	addNumeric(reflect.ValueOf(into).Elem(), reflect.ValueOf(st))
+	into.UptimeSec = uptime
+	var dropped []error
+	for _, h := range st.Histograms {
+		// Every reader indexes Counts by bound: one count per bound plus
+		// +Inf is the layout a snapshot off the wire must have.
+		if len(h.Counts) != len(h.Bounds)+1 {
+			dropped = append(dropped, fmt.Errorf("histogram %s has %d counts for %d bounds", h.Name, len(h.Counts), len(h.Bounds)))
+			continue
 		}
-		into.KernelDays[k] += n
+		// One shared bucket layout across the fleet means per-bucket
+		// counts sum exactly: the merged distribution is what one daemon
+		// would have recorded had it done all the work.
+		into.Histograms = obs.MergeSnapshots(into.Histograms, []obs.HistogramSnapshot{h})
 	}
-	into.CheckpointRestores += st.CheckpointRestores
-	into.CheckpointBytes += st.CheckpointBytes
-	mergeCache(&into.PopulationCache, st.PopulationCache)
-	mergeCache(&into.PlacementCache, st.PlacementCache)
-	mergeCache(&into.CheckpointCache, st.CheckpointCache)
-	mergeStore(&into.PopulationStore, st.PopulationStore)
-	mergeStore(&into.PlacementStore, st.PlacementStore)
-	mergeStore(&into.ResultStore, st.ResultStore)
-	mergeStore(&into.CheckpointStore, st.CheckpointStore)
-	// Histograms share one bucket layout across the fleet, so per-bucket
-	// counts sum exactly — the merged distribution is what one daemon
-	// would have recorded had it done all the work.
-	into.Histograms = obs.MergeSnapshots(into.Histograms, st.Histograms)
+	return errors.Join(dropped...)
 }
 
-func mergeCache(a *episim.SweepCacheStats, b episim.SweepCacheStats) {
-	a.Entries += b.Entries
-	a.Bytes += b.Bytes
-	a.Hits += b.Hits
-	a.Misses += b.Misses
-	a.Evictions += b.Evictions
-	a.Builds += b.Builds
-	a.DiskHits += b.DiskHits
-	a.DiskMisses += b.DiskMisses
-	a.DiskWrites += b.DiskWrites
-	a.DiskErrors += b.DiskErrors
-}
-
-func mergeStore(a **episim.SweepStoreStats, b *episim.SweepStoreStats) {
-	if b == nil {
-		return
+// addNumeric adds src's numeric leaves into dst, a settable value of the
+// same type: through structs and map values, allocating the nil pointers
+// and maps src populates. Slices and strings are left alone.
+func addNumeric(dst, src reflect.Value) {
+	switch {
+	case src.CanInt():
+		dst.SetInt(dst.Int() + src.Int())
+	case src.CanFloat():
+		dst.SetFloat(dst.Float() + src.Float())
+	case src.Kind() == reflect.Struct:
+		for i := 0; i < src.NumField(); i++ {
+			addNumeric(dst.Field(i), src.Field(i))
+		}
+	case src.Kind() == reflect.Pointer && !src.IsNil():
+		if dst.IsNil() {
+			dst.Set(reflect.New(src.Type().Elem()))
+		}
+		addNumeric(dst.Elem(), src.Elem())
+	case src.Kind() == reflect.Map:
+		for it := src.MapRange(); it.Next(); {
+			if dst.IsNil() {
+				dst.Set(reflect.MakeMap(src.Type()))
+			}
+			sum := reflect.New(src.Type().Elem()).Elem()
+			if cur := dst.MapIndex(it.Key()); cur.IsValid() {
+				sum.Set(cur)
+			}
+			addNumeric(sum, it.Value())
+			dst.SetMapIndex(it.Key(), sum)
+		}
 	}
-	if *a == nil {
-		*a = &episim.SweepStoreStats{}
-	}
-	(*a).Files += b.Files
-	(*a).Bytes += b.Bytes
-	(*a).GCFiles += b.GCFiles
-	(*a).GCBytes += b.GCBytes
 }
 
 // handleStats serves the fleet-aggregated stats snapshot.
 func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, g.collectStats(r.Context()))
-}
-
-// promHeader writes one metric's HELP/TYPE block. Per-backend series
-// share a name, so the block is written once before all of them.
-func promHeader(w io.Writer, name, kind, help string) {
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, kind)
 }
 
 // handleMetrics renders the aggregate in the per-instance Prometheus
@@ -291,39 +286,31 @@ func writeGatewayMetrics(w io.Writer, st StatsReply, slo []obs.SLOStatus, proxy 
 	// Fleet-level SLO burn, from the gateway's own ring over the merged
 	// stats — the same episim_slo_* vocabulary each daemon exposes.
 	obs.WriteSLOProm(w, slo)
-	for _, m := range []struct {
-		name, kind, help string
-		val              float64
-	}{
-		{"episim_gw_uptime_seconds", "gauge", "Seconds since the gateway started.", st.Gateway.UptimeSec},
-		{"episim_gw_backends", "gauge", "Backends configured.", float64(st.Gateway.BackendsTotal)},
-		{"episim_gw_backends_healthy", "gauge", "Backends currently passing health probes.", float64(st.Gateway.BackendsHealthy)},
-		{"episim_gw_fleet_healthy", "gauge", "1 while at least one backend is healthy; 0 means aggregates are last-known snapshots.", float64(st.Gateway.FleetHealthy)},
-		{"episim_gw_submissions_total", "counter", "Submissions accepted by some backend.", float64(st.Gateway.Submitted)},
-		{"episim_gw_submissions_rerouted_total", "counter", "Submissions that fell past their cache-affine first choice.", float64(st.Gateway.Rerouted)},
-		{"episim_gw_spilled_total", "counter", "Submissions diverted off a healthy-but-saturated owner by the spill bound.", float64(st.Gateway.Spilled)},
-	} {
-		promHeader(w, m.name, m.kind, m.help)
-		fmt.Fprintf(w, "%s %s\n", m.name, strconv.FormatFloat(m.val, 'g', -1, 64))
-	}
-	promHeader(w, "episim_gw_throttled_total", "counter", "429s from gateway admission control, by reason.")
-	fmt.Fprintf(w, "episim_gw_throttled_total{reason=\"rate\"} %d\n", st.Gateway.ThrottledRate)
-	fmt.Fprintf(w, "episim_gw_throttled_total{reason=\"inflight\"} %d\n", st.Gateway.ThrottledInflight)
-	promHeader(w, "episim_gw_backend_up", "gauge", "1 while the backend passes health probes.")
+	one := func(v float64) obs.Sample { return obs.Sample{Value: v} }
+	gw := st.Gateway
+	obs.Gauge("episim_gw_uptime_seconds", "Seconds since the gateway started.").Write(w, one(gw.UptimeSec))
+	obs.Gauge("episim_gw_backends", "Backends configured.").Write(w, one(float64(gw.BackendsTotal)))
+	obs.Gauge("episim_gw_backends_healthy", "Backends currently passing health probes.").Write(w, one(float64(gw.BackendsHealthy)))
+	obs.Gauge("episim_gw_fleet_healthy", "1 while at least one backend is healthy; 0 means aggregates are last-known snapshots.").Write(w, one(float64(gw.FleetHealthy)))
+	obs.Counter("episim_gw_submissions_total", "Submissions accepted by some backend.").Write(w, one(float64(gw.Submitted)))
+	obs.Counter("episim_gw_submissions_rerouted_total", "Submissions that fell past their cache-affine first choice.").Write(w, one(float64(gw.Rerouted)))
+	obs.Counter("episim_gw_spilled_total", "Submissions diverted off a healthy-but-saturated owner by the spill bound.").Write(w, one(float64(gw.Spilled)))
+	obs.Counter("episim_gw_throttled_total", "429s from gateway admission control, by reason.").Write(w,
+		obs.Sample{Labels: []string{"reason", "rate"}, Value: float64(gw.ThrottledRate)},
+		obs.Sample{Labels: []string{"reason", "inflight"}, Value: float64(gw.ThrottledInflight)})
+	var up, routed, depth []obs.Sample
 	for _, bs := range st.Backends {
-		up := 0
+		s := obs.Sample{Labels: []string{"backend", bs.Name, "url", bs.URL}}
 		if bs.Healthy {
-			up = 1
+			s.Value = 1
 		}
-		fmt.Fprintf(w, "episim_gw_backend_up{backend=%q,url=%q} %d\n", bs.Name, bs.URL, up)
+		up = append(up, s)
+		backend := []string{"backend", bs.Name}
+		routed = append(routed, obs.Sample{Labels: backend, Value: float64(bs.Routed)})
+		depth = append(depth, obs.Sample{Labels: backend, Value: float64(bs.QueueDepth)})
 	}
-	promHeader(w, "episim_gw_backend_routed_total", "counter", "Submissions this gateway routed to the backend.")
-	for _, bs := range st.Backends {
-		fmt.Fprintf(w, "episim_gw_backend_routed_total{backend=%q} %d\n", bs.Name, bs.Routed)
-	}
-	promHeader(w, "episim_gw_backend_queue_depth", "gauge", "The gateway's current queue-depth estimate for the backend.")
-	for _, bs := range st.Backends {
-		fmt.Fprintf(w, "episim_gw_backend_queue_depth{backend=%q} %d\n", bs.Name, bs.QueueDepth)
-	}
+	obs.Gauge("episim_gw_backend_up", "1 while the backend passes health probes.").Write(w, up...)
+	obs.Counter("episim_gw_backend_routed_total", "Submissions this gateway routed to the backend.").Write(w, routed...)
+	obs.Gauge("episim_gw_backend_queue_depth", "The gateway's current queue-depth estimate for the backend.").Write(w, depth...)
 	obs.WriteHistogramsProm(w, proxy)
 }

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -59,30 +58,21 @@ func ServeDebug(addr string, log *Logger) (*http.Server, error) {
 func WriteRuntimeMetrics(w io.Writer) {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
-	writeGauge(w, "go_goroutines", "Number of live goroutines.", float64(runtime.NumGoroutine()))
-	writeCounter(w, "go_gc_cycles_total", "Completed GC cycles.", float64(ms.NumGC))
-	writeCounter(w, "go_gc_pause_seconds_total", "Cumulative stop-the-world GC pause.", float64(ms.PauseTotalNs)/1e9)
-	writeGauge(w, "go_memstats_heap_alloc_bytes", "Bytes of allocated heap objects.", float64(ms.HeapAlloc))
-	writeGauge(w, "go_memstats_sys_bytes", "Bytes obtained from the OS.", float64(ms.Sys))
+	one := func(v float64) Sample { return Sample{Value: v} }
+	Gauge("go_goroutines", "Number of live goroutines.").Write(w, one(float64(runtime.NumGoroutine())))
+	Counter("go_gc_cycles_total", "Completed GC cycles.").Write(w, one(float64(ms.NumGC)))
+	Counter("go_gc_pause_seconds_total", "Cumulative stop-the-world GC pause.").Write(w, one(float64(ms.PauseTotalNs)/1e9))
+	Gauge("go_memstats_heap_alloc_bytes", "Bytes of allocated heap objects.").Write(w, one(float64(ms.HeapAlloc)))
+	Gauge("go_memstats_sys_bytes", "Bytes obtained from the OS.").Write(w, one(float64(ms.Sys)))
 	if rss, ok := ResidentBytes(); ok {
-		writeGauge(w, "process_resident_memory_bytes", "Resident set size.", float64(rss))
+		Gauge("process_resident_memory_bytes", "Resident set size.").Write(w, one(float64(rss)))
 	} else {
 		// /proc is absent (non-Linux): publish the Go-heap proxy under a
 		// DISTINCT name. HeapSys is not an RSS — impersonating
 		// process_resident_memory_bytes would poison cross-platform
 		// dashboards, while omitting memory entirely blinds them.
-		writeGauge(w, "process_memory_goheap_fallback_bytes",
-			"Go heap reserved from the OS (HeapSys); RSS fallback where /proc is unavailable.",
-			float64(ms.HeapSys))
+		Gauge("process_memory_goheap_fallback_bytes",
+			"Go heap reserved from the OS (HeapSys); RSS fallback where /proc is unavailable.").
+			Write(w, one(float64(ms.HeapSys)))
 	}
-}
-
-func writeGauge(w io.Writer, name, help string, v float64) {
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %s\n",
-		name, help, name, name, formatFloat(v))
-}
-
-func writeCounter(w io.Writer, name, help string, v float64) {
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %s\n",
-		name, help, name, name, formatFloat(v))
 }

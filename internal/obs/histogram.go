@@ -11,7 +11,6 @@ import (
 	"io"
 	"math"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -221,26 +220,6 @@ func (s HistogramSnapshot) CountAtOrBelow(v float64) float64 {
 	return cum
 }
 
-// formatLabel renders the snapshot's label pair plus the le bound for a
-// _bucket sample ("" label = just the le pair).
-func (s HistogramSnapshot) bucketLabels(le string) string {
-	if s.Label == "" {
-		return fmt.Sprintf("{le=%q}", le)
-	}
-	return fmt.Sprintf("{%s=%q,le=%q}", s.Label, s.LabelValue, le)
-}
-
-func (s HistogramSnapshot) seriesLabels() string {
-	if s.Label == "" {
-		return ""
-	}
-	return fmt.Sprintf("{%s=%q}", s.Label, s.LabelValue)
-}
-
-func formatFloat(v float64) string {
-	return strconv.FormatFloat(v, 'g', -1, 64)
-}
-
 // WriteHistogramsProm renders snapshots in Prometheus text format:
 // cumulative _bucket series (le-labelled, ending at +Inf), _sum and
 // _count, with one # HELP/# TYPE block per family. Snapshots sharing a
@@ -250,23 +229,25 @@ func WriteHistogramsProm(w io.Writer, snaps []HistogramSnapshot) {
 	prev := ""
 	for _, s := range snaps {
 		if s.Name != prev {
-			if s.Help != "" {
-				fmt.Fprintf(w, "# HELP %s %s\n", s.Name, s.Help)
-			}
-			fmt.Fprintf(w, "# TYPE %s histogram\n", s.Name)
+			Family{Name: s.Name, Kind: "histogram", Help: s.Help}.header(w)
 			prev = s.Name
 		}
+		var series []string
+		if s.Label != "" {
+			series = []string{s.Label, s.LabelValue}
+		}
+		bucket := func(le string) string { return labelSet(append(series, "le", le)) }
 		cum := uint64(0)
 		for i, b := range s.Bounds {
 			cum += s.Counts[i]
-			fmt.Fprintf(w, "%s_bucket%s %d\n", s.Name, s.bucketLabels(formatFloat(b)), cum)
+			fmt.Fprintf(w, "%s_bucket%s %d\n", s.Name, bucket(formatFloat(b)), cum)
 		}
 		if len(s.Counts) > len(s.Bounds) {
 			cum += s.Counts[len(s.Bounds)]
 		}
-		fmt.Fprintf(w, "%s_bucket%s %d\n", s.Name, s.bucketLabels("+Inf"), cum)
-		fmt.Fprintf(w, "%s_sum%s %s\n", s.Name, s.seriesLabels(), formatFloat(s.Sum))
-		fmt.Fprintf(w, "%s_count%s %d\n", s.Name, s.seriesLabels(), s.Count)
+		fmt.Fprintf(w, "%s_bucket%s %d\n", s.Name, bucket("+Inf"), cum)
+		fmt.Fprintf(w, "%s_sum%s %s\n", s.Name, labelSet(series), formatFloat(s.Sum))
+		fmt.Fprintf(w, "%s_count%s %d\n", s.Name, labelSet(series), s.Count)
 	}
 }
 

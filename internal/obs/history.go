@@ -278,6 +278,21 @@ func (h *History) Window(d time.Duration) (WindowStats, bool) {
 	return w, true
 }
 
+// SLOWindows computes the DefaultSLOWindows deltas keyed by window label
+// ("5m", "1h"); nil until the ring holds two points.
+func (h *History) SLOWindows() map[string]WindowStats {
+	var out map[string]WindowStats
+	for _, d := range DefaultSLOWindows() {
+		if w, ok := h.Window(d); ok {
+			if out == nil {
+				out = map[string]WindowStats{}
+			}
+			out[windowLabel(d)] = w
+		}
+	}
+	return out
+}
+
 // Hist returns the window's delta snapshot for one family (ok=false when
 // the family never appeared).
 func (w WindowStats) Hist(name string) (HistogramSnapshot, bool) {

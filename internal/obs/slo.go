@@ -149,33 +149,25 @@ func (spec SLOSpec) goodTotal(w WindowStats) (good, total float64) {
 // Every family always renders for every SLO (zeros while the ring is
 // young), so scrapes and alert rules see a stable series set.
 func WriteSLOProm(w io.Writer, sts []SLOStatus) {
-	if len(sts) == 0 {
-		return
-	}
-	fmt.Fprint(w, "# HELP episim_slo_objective The SLO's target success ratio.\n# TYPE episim_slo_objective gauge\n")
+	var objective, errorRate, burnRate, stale []Sample
 	for _, st := range sts {
-		fmt.Fprintf(w, "episim_slo_objective{slo=%q} %s\n", st.Name, formatFloat(st.Objective))
-	}
-	fmt.Fprint(w, "# HELP episim_slo_error_rate Fraction of the window's events that violated the SLO.\n# TYPE episim_slo_error_rate gauge\n")
-	for _, st := range sts {
+		slo := []string{"slo", st.Name}
+		objective = append(objective, Sample{Labels: slo, Value: st.Objective})
 		for _, sw := range st.Windows {
-			fmt.Fprintf(w, "episim_slo_error_rate{slo=%q,window=%q} %s\n", st.Name, sw.Window, formatFloat(sw.ErrorRate))
+			win := []string{"slo", st.Name, "window", sw.Window}
+			errorRate = append(errorRate, Sample{Labels: win, Value: sw.ErrorRate})
+			burnRate = append(burnRate, Sample{Labels: win, Value: sw.BurnRate})
 		}
-	}
-	fmt.Fprint(w, "# HELP episim_slo_burn_rate Error-budget burn rate over the window (1.0 = burning exactly the budget).\n# TYPE episim_slo_burn_rate gauge\n")
-	for _, st := range sts {
-		for _, sw := range st.Windows {
-			fmt.Fprintf(w, "episim_slo_burn_rate{slo=%q,window=%q} %s\n", st.Name, sw.Window, formatFloat(sw.BurnRate))
-		}
-	}
-	fmt.Fprint(w, "# HELP episim_slo_stale 1 when the SLO's windows include stale (last-known) data.\n# TYPE episim_slo_stale gauge\n")
-	for _, st := range sts {
-		v := 0
+		s := Sample{Labels: slo}
 		if st.Stale {
-			v = 1
+			s.Value = 1
 		}
-		fmt.Fprintf(w, "episim_slo_stale{slo=%q} %d\n", st.Name, v)
+		stale = append(stale, s)
 	}
+	Gauge("episim_slo_objective", "The SLO's target success ratio.").Write(w, objective...)
+	Gauge("episim_slo_error_rate", "Fraction of the window's events that violated the SLO.").Write(w, errorRate...)
+	Gauge("episim_slo_burn_rate", "Error-budget burn rate over the window (1.0 = burning exactly the budget).").Write(w, burnRate...)
+	Gauge("episim_slo_stale", "1 when the SLO's windows include stale (last-known) data.").Write(w, stale...)
 }
 
 // MaxBurn returns the status's highest burn rate across windows.

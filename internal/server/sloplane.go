@@ -53,31 +53,6 @@ func SLOSpecs(queueWaitThreshold float64) []obs.SLOSpec {
 	}
 }
 
-// StatsHistoryPoint reduces one stats snapshot to a history-ring point:
-// the scalar families the SLO specs reference (plus the load gauges the
-// ops console graphs) and the full histogram set. The gateway feeds its
-// fleet ring through this same function on the merged reply, so a
-// fleet-level burn rate is computed from exactly the per-daemon
-// vocabulary.
-func StatsHistoryPoint(st client.StatsReply, stale bool) obs.HistoryPoint {
-	return obs.HistoryPoint{
-		Time: time.Now(),
-		Scalars: map[string]float64{
-			"submit_total":        float64(st.SubmitsTotal),
-			"submit_errors":       float64(st.SubmitErrors),
-			"events_total":        float64(st.EventsSent),
-			"events_send_errors":  float64(st.EventsSendErrors),
-			"cells_streamed":      float64(st.CellsStreamed),
-			"trace_dropped_spans": float64(st.TraceDroppedSpans),
-			"profile_captures":    float64(st.ProfileCaptures),
-			"queue_depth":         float64(st.QueueDepth),
-			"active_sweeps":       float64(st.ActiveSweeps),
-		},
-		Hists: st.Histograms,
-		Stale: stale,
-	}
-}
-
 // sloPlane is the server's observability state beyond plain counters:
 // the ring, the latest SLO evaluation, and watchdog bookkeeping.
 type sloPlane struct {
@@ -188,23 +163,22 @@ func (s *Server) captureProfiles(reason string) {
 
 // handleSLO serves the current multi-window error-budget evaluation.
 func (s *Server) handleSLO(w http.ResponseWriter, r *http.Request) {
-	sts := s.sloStatuses()
-	stale := false
+	writeJSON(w, http.StatusOK, BuildSLOReply(s.name, s.sloStatuses()))
+}
+
+// BuildSLOReply assembles the /v1/slo body (shared by daemon and
+// gateway): stale when any evaluation is.
+func BuildSLOReply(instance string, sts []obs.SLOStatus) client.SLOReply {
+	rep := client.SLOReply{Instance: instance, SLOs: sts}
 	for _, st := range sts {
-		if st.Stale {
-			stale = true
-		}
+		rep.Stale = rep.Stale || st.Stale
 	}
-	writeJSON(w, http.StatusOK, client.SLOReply{Instance: s.name, Stale: stale, SLOs: sts})
+	return rep
 }
 
 // handleUsage serves the per-client accounting ledger.
 func (s *Server) handleUsage(w http.ResponseWriter, r *http.Request) {
-	rows := s.usage.Snapshot()
-	if rows == nil {
-		rows = []obs.ClientUsage{}
-	}
-	writeJSON(w, http.StatusOK, client.UsageReply{Instance: s.name, Clients: rows})
+	writeJSON(w, http.StatusOK, client.UsageReply{Instance: s.name, Clients: s.usage.Snapshot()})
 }
 
 // handleHistory serves the metrics ring: raw points plus precomputed
@@ -216,34 +190,12 @@ func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request) {
 // BuildHistoryReply assembles the /v1/metrics/history body for one ring
 // (shared by daemon and gateway so the two endpoints cannot drift).
 func BuildHistoryReply(instance string, h *obs.History) client.HistoryReply {
-	rep := client.HistoryReply{
+	return client.HistoryReply{
 		Instance:    instance,
 		IntervalSec: h.Interval().Seconds(),
 		Points:      h.Snapshot(time.Time{}),
+		Windows:     h.SLOWindows(),
 	}
-	if rep.Points == nil {
-		rep.Points = []obs.HistoryPoint{}
-	}
-	for _, d := range obs.DefaultSLOWindows() {
-		if win, ok := h.Window(d); ok {
-			if rep.Windows == nil {
-				rep.Windows = map[string]obs.WindowStats{}
-			}
-			rep.Windows[windowKey(d)] = win
-		}
-	}
-	return rep
-}
-
-// windowKey labels a window for the history reply's map ("5m", "1h").
-func windowKey(d time.Duration) string {
-	if d >= time.Hour && d%time.Hour == 0 {
-		return fmt.Sprintf("%dh", d/time.Hour)
-	}
-	if d >= time.Minute && d%time.Minute == 0 {
-		return fmt.Sprintf("%dm", d/time.Minute)
-	}
-	return fmt.Sprintf("%ds", int(d.Seconds()))
 }
 
 // profileInfo is one captured profile as /v1/profiles lists it.

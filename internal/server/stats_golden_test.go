@@ -164,3 +164,30 @@ func TestHistoryPointGolden(t *testing.T) {
 	}
 	checkGolden(t, "history_scalars.golden.json", append(got, '\n'))
 }
+
+// TestSLOInputsAreRecorded: every scalar an SLO spec divides is a key
+// StatsHistoryPoint emits, and every latency histogram it reads is one
+// the daemon records — a renamed history key or family cannot silently
+// zero a burn rate.
+func TestSLOInputsAreRecorded(t *testing.T) {
+	srv, _ := newTestServer(t, Config{}, instantRunner())
+	st := srv.stats()
+	scalars := StatsHistoryPoint(st, false).Scalars
+	hists := map[string]bool{}
+	for _, h := range st.Histograms {
+		hists[h.Name] = true
+	}
+	for _, spec := range SLOSpecs(0) {
+		for _, name := range []string{spec.Total, spec.Bad} {
+			if _, ok := scalars[name]; name != "" && !ok {
+				t.Errorf("SLO %s reads scalar %q, which history points do not carry", spec.Name, name)
+			}
+		}
+		if spec.Histogram != "" && !hists[spec.Histogram] {
+			t.Errorf("SLO %s reads histogram %q, which the daemon does not record", spec.Name, spec.Histogram)
+		}
+		if spec.Total == "" && spec.Histogram == "" {
+			t.Errorf("SLO %s reads no input", spec.Name)
+		}
+	}
+}

@@ -458,7 +458,10 @@ func (s *store) incCellsDone(j *job) {
 
 // finish records a run's terminal state and (possibly partial) result,
 // spills the finished job to the disk store, and returns the final
-// snapshot for the terminal event.
+// snapshot for the terminal event. The terminal state is published only
+// once the record is on disk: from that moment retention or TTL may
+// evict the job from memory, and only the disk record then keeps it
+// readable.
 func (s *store) finish(j *job, state client.JobState, errMsg string, res *episim.SweepResult) client.JobStatus {
 	var raw []byte
 	if res != nil {
@@ -468,14 +471,10 @@ func (s *store) finish(j *job, state client.JobState, errMsg string, res *episim
 		}
 	}
 	s.mu.Lock()
-	j.state = state
-	j.errMsg = errMsg
-	j.resultJSON = raw
-	j.hasResult = raw != nil
-	j.finished = s.now()
-	j.cancel = nil
+	finished := s.now()
 	st := s.statusLocked(j)
 	s.mu.Unlock()
+	st.State, st.Error, st.Finished = state, errMsg, &finished
 
 	if s.results != nil {
 		persistStart := time.Now()
@@ -511,6 +510,12 @@ func (s *store) finish(j *job, state client.JobState, errMsg string, res *episim
 		}
 	}
 	s.mu.Lock()
+	j.state = state
+	j.errMsg = errMsg
+	j.resultJSON = raw
+	j.hasResult = raw != nil
+	j.finished = finished
+	j.cancel = nil
 	s.evictLocked()
 	s.mu.Unlock()
 	return st
@@ -582,6 +587,11 @@ func (s *store) requestCancel(j *job) bool {
 		j.state = client.StateCanceled
 		j.finished = s.now()
 		st := s.statusLocked(j)
+		// Canceled-while-queued is terminal without passing through
+		// finish(), so it persists here. The record is status-only and is
+		// written under the lock, so — as in finish() — nothing sees the
+		// terminal state before the record is on disk.
+		s.persist(st, nil)
 		s.mu.Unlock()
 		// A job canceled while queued never reaches execute(), which is
 		// where queue_wait and the terminal run span are normally
@@ -599,10 +609,6 @@ func (s *store) requestCancel(j *job) bool {
 		s.droppedSpans.Add(int64(j.trace.Dropped()))
 		j.hub.publish(client.Event{Type: "canceled", Job: &st})
 		j.hub.close()
-		// Canceled-while-queued is terminal without passing through
-		// finish(); persist here too, or eviction/restart would forget
-		// the job ever existed.
-		s.persist(st, nil)
 		return true
 	case client.StateRunning:
 		cancel := j.cancel
